@@ -32,7 +32,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 #: The counters the gate watches.  Timings and entry counts are ignored.
-GATED_COUNTERS = ("derivation_attempts", "solver_calls")
+#: ``domain_calls`` and ``ground_evaluations`` are what one mediator read
+#: pays (the ``mediator_query`` family).
+GATED_COUNTERS = (
+    "derivation_attempts",
+    "solver_calls",
+    "domain_calls",
+    "ground_evaluations",
+)
 
 #: Counters below this value are exempt from the percentage check (a jump
 #: from 2 to 3 is +50% but meaningless); the absolute slack also absorbs it.

@@ -39,6 +39,7 @@ from repro.datalog import (  # noqa: E402
     parse_constrained_atom,
     parse_program,
 )
+from repro.domains import Domain  # noqa: E402
 from repro.datalog.fixpoint import FixpointOptions  # noqa: E402
 from repro.maintenance import (  # noqa: E402
     DeletionRequest,
@@ -61,6 +62,7 @@ from repro.workloads import (  # noqa: E402
     make_interval_join_program,
     make_layered_program,
     make_path_graph_edges,
+    make_law_enforcement_scenario,
     make_transitive_closure_program,
     stream_batches,
 )
@@ -392,6 +394,51 @@ def run_interning() -> dict:
     return results
 
 
+def run_mediator_query(seed: int = 4) -> dict:
+    """One ``suspect`` read of the Section 1 mediator, counted.
+
+    Under W_P (Corollary 1) a read is what pays for domain calls, so the
+    family counts what one read issues: ``domain_calls`` (every
+    ``Domain.call``, the calls that reach a source) and
+    ``ground_evaluations`` (every ``ConstraintSolver.evaluate_ground``,
+    nested ones included).  Both are gated; ``distinct_calls`` is the floor
+    ``domain_calls`` can reach and is recorded for the ratio.
+    """
+    scenario = make_law_enforcement_scenario(num_people=10, photo_count=6, seed=seed)
+    view = scenario.mediator.materialize()
+    calls: dict = {}
+    ground_evaluations = 0
+    call, evaluate_ground = Domain.call, ConstraintSolver.evaluate_ground
+
+    def counted_call(domain, function, args):
+        key = (domain.name, function, tuple(args))
+        calls[key] = calls.get(key, 0) + 1
+        return call(domain, function, args)
+
+    def counted_evaluate_ground(solver, constraint, assignment):
+        nonlocal ground_evaluations
+        ground_evaluations += 1
+        return evaluate_ground(solver, constraint, assignment)
+
+    Domain.call = counted_call
+    ConstraintSolver.evaluate_ground = counted_evaluate_ground
+    try:
+        seconds, answers = timed(view.query, "suspect")
+    finally:
+        Domain.call = call
+        ConstraintSolver.evaluate_ground = evaluate_ground
+    return {
+        "workload": "law_enforcement(num_people=10, photo_count=6, "
+        f"seed={seed}) suspect read",
+        "seconds": round(seconds, 4),
+        "answers": len(answers),
+        "correct": answers == frozenset(scenario.expected_suspects()),
+        "domain_calls": sum(calls.values()),
+        "distinct_calls": len(calls),
+        "ground_evaluations": ground_evaluations,
+    }
+
+
 def run_insertion(scenario) -> dict:
     request = insertion_stream(scenario.spec, 1, seed=5)[0]
     seconds, outcome = timed(
@@ -459,6 +506,8 @@ def run_smoke(include_external: bool = True) -> dict:
     snapshot["stream_mixed_batch"] = run_stream_mixed_batch()
     snapshot["constraint_interning"] = run_interning()
     snapshot["static_analysis"] = run_analysis()
+    # Query-time DCA evaluation: what one mediator read pays the sources.
+    snapshot["mediator_query"] = run_mediator_query()
     if include_external:
         snapshot["external_layered_small"] = run_external(
             build_layered_deletion_scenario("small").spec

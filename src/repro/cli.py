@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 from repro.analysis import analyze_program
 from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint, compute_wp_fixpoint, parse_constrained_atom, parse_program
-from repro.errors import ReproError
+from repro.errors import ReproError, UniverseSpecError
 from repro.maintenance import DeletionRequest, InsertionRequest, ViewMaintainer
 
 
@@ -42,13 +42,19 @@ def parse_universe(spec: Optional[str]) -> Optional[List[object]]:
     """Parse ``--universe`` values: ``0:10`` (range) or ``a,b,c`` (list).
 
     Public because the serve layer's request router reuses it for the
-    wire-format ``"universe"`` field.
+    wire-format ``"universe"`` field.  A range whose bounds are not integers
+    raises :class:`~repro.errors.UniverseSpecError`.
     """
     if spec is None:
         return None
     if ":" in spec:
         low_text, high_text = spec.split(":", 1)
-        return list(range(int(low_text), int(high_text)))
+        try:
+            return list(range(int(low_text), int(high_text)))
+        except ValueError:
+            raise UniverseSpecError(
+                f"bad universe {spec!r}: a range must be LOW:HIGH with integer bounds"
+            ) from None
     values: List[object] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()

@@ -74,7 +74,8 @@ _CONJUNCTIONS = table("conjunction")
 #: and ``_scoped`` are written by ``simplify``/``projection``; ``_sat`` /
 #: ``_simplify0`` / ``_simplify1`` by the solver's pure paths; ``_vars`` and
 #: ``_str`` lazily by the node itself; ``_elim`` holds a small bounded dict
-#: of projection results.  All writes are idempotent (the value is a pure
+#: of projection results; ``_index`` the per-variable conjunct index of
+#: solution enumeration.  All writes are idempotent (the value is a pure
 #: function of the node), so racing threads are benign.
 _MEMO_SLOTS = (
     "_str",
@@ -85,6 +86,7 @@ _MEMO_SLOTS = (
     "_simplify0",
     "_simplify1",
     "_elim",
+    "_index",
 )
 
 

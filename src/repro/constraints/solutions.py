@@ -15,13 +15,19 @@ Enumeration is a backtracking search:
    ``in(A, paradox:select_eq(...)) & in(P, spatialdb:locateaddress(A, ...))``
    enumerable), then one with a bounded integer interval, then one drawing
    from the caller-supplied universe;
-2. candidate values are filtered eagerly against the conjuncts that have
-   become fully ground;
+2. candidate values are filtered eagerly against the conjuncts that the
+   binding has just made fully ground (the conjuncts over the bound
+   variable; every other ground conjunct was checked at a shallower depth);
 3. complete assignments are checked with the solver's exact ground
    evaluator, so negated conjunctions and negative memberships are honoured.
 
 Because negations and memberships only ever *remove* solutions, generating
 candidates from the positive conjuncts alone is complete.
+
+One enumeration evaluates each ground domain call at most once: the
+solver's evaluator is wrapped in a memo that lives as long as the
+enumeration, so every occurrence of a call within one read sees one answer,
+and the next read asks the sources again.
 """
 
 from __future__ import annotations
@@ -30,12 +36,15 @@ import math
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
+    FLIPPED_OPERATOR,
     Comparison,
     Constraint,
+    DomainCall,
     FalseConstraint,
     Membership,
     NegatedConjunction,
 )
+from repro.constraints.interfaces import CallEvaluator, ResultSetLike
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import Constant, Term, Variable
 from repro.errors import SolverError
@@ -64,6 +73,9 @@ def enumerate_solutions(
     solver = solver or ConstraintSolver()
     if isinstance(constraint, FalseConstraint):
         return
+    if solver.evaluator is not None:
+        # A local of this generator: it dies with the enumeration.
+        solver = solver.with_evaluator(_CallMemo(solver.evaluator))
     wanted = list(dict.fromkeys(variables))
     # Auxiliary constraint variables must be assigned too (they are
     # existentially quantified); include them in the search but project them
@@ -82,9 +94,8 @@ def enumerate_solutions(
 
     produced = 0
     seen: set = set()
-    for assignment in _search(
-        constraint, search_vars, {}, solver, universe_values, max_interval_width
-    ):
+    plan = _Plan(constraint, solver, universe_values, max_interval_width)
+    for assignment in _search(plan, search_vars, {}):
         projected = {var: assignment[var] for var in wanted}
         key = tuple(projected[var] for var in wanted)
         if key in seen:
@@ -138,43 +149,203 @@ def equivalent_on_universe(
 
 
 # ---------------------------------------------------------------------------
+# Per-enumeration call memo
+# ---------------------------------------------------------------------------
+
+
+class _CallMemo:
+    """One enumeration's memo over a :class:`CallEvaluator`.
+
+    Each ground call ``domain:function(args)`` reaches the wrapped evaluator
+    at most once; every later occurrence -- in candidate generation, in the
+    partial checks and in the leaf's exact evaluation -- gets the same
+    result set.  Failures are not cached: an exception propagates on every
+    occurrence, exactly as it would without the memo.
+    """
+
+    __slots__ = ("_evaluator", "_results")
+
+    def __init__(self, evaluator: CallEvaluator) -> None:
+        self._evaluator = evaluator
+        self._results: Dict[Tuple[str, str, Tuple[object, ...]], ResultSetLike] = {}
+
+    def evaluate_call(
+        self, domain: str, function: str, args: Tuple[object, ...]
+    ) -> ResultSetLike:
+        key = (domain, function, args)
+        try:
+            return self._results[key]
+        except KeyError:
+            pass
+        result = self._evaluator.evaluate_call(domain, function, args)
+        self._results[key] = result
+        return result
+
+    def has_domain(self, domain: str) -> bool:
+        return self._evaluator.has_domain(domain)
+
+    @property
+    def version(self) -> object:
+        # Forwarded so the enumeration's solver gates its external memo the
+        # way the caller's would; ``None`` for tokenless evaluators.
+        return getattr(self._evaluator, "version", None)
+
+
+# ---------------------------------------------------------------------------
 # Backtracking search
 # ---------------------------------------------------------------------------
 
 
+class _ConjunctIndex:
+    """The constraint's top-level conjuncts, indexed by variable.
+
+    The search consults these lists at every node instead of rescanning
+    every conjunct for every unassigned variable.  The index is a pure
+    function of the constraint, so it is memoized on the interned node's
+    ``_index`` slot and shared by every enumeration of that node -- every
+    read of a view entry after the first.  Readers must not mutate it.
+    """
+
+    __slots__ = ("conjuncts", "has_ground", "touching", "pins", "bounds", "calls")
+
+    def __init__(self, constraint: Constraint) -> None:
+        self.conjuncts = constraint.conjuncts()
+        self.has_ground = any(not part.variables() for part in self.conjuncts)
+        #: Conjuncts mentioning each variable, in constraint order: binding
+        #: a variable can only make these ground.
+        self.touching: Dict[Variable, List[Constraint]] = {}
+        #: Terms a variable is equated to by positive equalities.
+        self.pins: Dict[Variable, List[Term]] = {}
+        #: ``(op, term)`` for every comparison oriented as ``variable op term``.
+        self.bounds: Dict[Variable, List[Tuple[str, Term]]] = {}
+        #: Calls of the positive DCA-atoms over each variable.
+        self.calls: Dict[Variable, List[DomainCall]] = {}
+        for part in self.conjuncts:
+            for variable in part.variables():
+                self.touching.setdefault(variable, []).append(part)
+            if isinstance(part, Comparison):
+                left, op, right = part.left, part.op, part.right
+                if isinstance(left, Variable):
+                    self.bounds.setdefault(left, []).append((op, right))
+                    if op == "=":
+                        self.pins.setdefault(left, []).append(right)
+                if isinstance(right, Variable):
+                    self.bounds.setdefault(right, []).append((FLIPPED_OPERATOR[op], left))
+                    if op == "=":
+                        self.pins.setdefault(right, []).append(left)
+            elif (
+                isinstance(part, Membership)
+                and part.positive
+                and isinstance(part.element, Variable)
+            ):
+                self.calls.setdefault(part.element, []).append(part.call)
+
+    @staticmethod
+    def of(constraint: Constraint) -> "_ConjunctIndex":
+        index = constraint._index
+        if index is None:
+            index = _ConjunctIndex(constraint)
+            object.__setattr__(constraint, "_index", index)
+        return index
+
+    def root_checks(self, variable: Variable) -> Sequence[Constraint]:
+        """Conjuncts to check after the first binding: the variable-free ones
+        and those over *variable*, in constraint order."""
+        if not self.has_ground:
+            return self.touching.get(variable, ())
+        return [
+            part
+            for part in self.conjuncts
+            if not part.variables() or variable in part.variables()
+        ]
+
+
+class _Plan:
+    """What one enumeration's search reads: the index, the inputs, and the
+    finite call results already ordered into candidate lists."""
+
+    __slots__ = (
+        "constraint",
+        "index",
+        "solver",
+        "universe",
+        "max_interval_width",
+        "calls",
+        "_finite",
+    )
+
+    def __init__(
+        self,
+        constraint: Constraint,
+        solver: ConstraintSolver,
+        universe: Optional[List[object]],
+        max_interval_width: int,
+    ) -> None:
+        self.constraint = constraint
+        self.index = _ConjunctIndex.of(constraint)
+        self.solver = solver
+        self.universe = universe
+        self.max_interval_width = max_interval_width
+        #: The index's calls restricted to domains the evaluator knows.
+        self.calls: Dict[Variable, List[DomainCall]] = {}
+        evaluator = solver.evaluator
+        if evaluator is not None:
+            for variable, calls in self.index.calls.items():
+                known = [call for call in calls if evaluator.has_domain(call.domain)]
+                if known:
+                    self.calls[variable] = known
+        self._finite: Dict[
+            Tuple[str, str, Tuple[object, ...]],
+            Optional[Tuple[List[object], FrozenSet[object]]],
+        ] = {}
+
+    def finite_values(
+        self, call: DomainCall, args: Tuple[object, ...]
+    ) -> Optional[Tuple[List[object], FrozenSet[object]]]:
+        """The ordered values and value set of a finite ground call, or
+        ``None`` when its result cannot be enumerated; computed once per
+        call and enumeration."""
+        key = (call.domain, call.function, args)
+        try:
+            return self._finite[key]
+        except KeyError:
+            pass
+        result = self.solver.evaluator.evaluate_call(call.domain, call.function, args)
+        values: Optional[Tuple[List[object], FrozenSet[object]]] = None
+        if result.is_finite():
+            members = frozenset(result.iter_values())
+            values = (sorted(members, key=_sort_key), members)
+        self._finite[key] = values
+        return values
+
+
 def _search(
-    constraint: Constraint,
+    plan: _Plan,
     unassigned: List[Variable],
     partial: Dict[Variable, object],
-    solver: ConstraintSolver,
-    universe: Optional[List[object]],
-    max_interval_width: int,
 ) -> Iterator[Dict[Variable, object]]:
     if not unassigned:
-        if solver.evaluate_ground(constraint, partial):
+        if plan.solver.evaluate_ground(plan.constraint, partial):
             yield dict(partial)
         return
 
-    variable, candidates = _pick_variable(
-        constraint, unassigned, partial, solver, universe, max_interval_width
-    )
+    variable, candidates = _pick_variable(plan, unassigned, partial)
     remaining = [var for var in unassigned if var != variable]
+    # Only the conjuncts over *variable* can have just become ground; the
+    # ones ground before this binding were checked at an earlier depth.
+    index = plan.index
+    checks = index.root_checks(variable) if not partial else index.touching.get(variable, ())
     for value in candidates:
         partial[variable] = value
-        if _partial_consistent(constraint, partial, solver):
-            yield from _search(
-                constraint, remaining, partial, solver, universe, max_interval_width
-            )
+        if _partial_consistent(checks, partial, plan.solver):
+            yield from _search(plan, remaining, partial)
         del partial[variable]
 
 
 def _pick_variable(
-    constraint: Constraint,
+    plan: _Plan,
     unassigned: List[Variable],
     partial: Dict[Variable, object],
-    solver: ConstraintSolver,
-    universe: Optional[List[object]],
-    max_interval_width: int,
 ) -> Tuple[Variable, List[object]]:
     """Choose the next variable and its candidate values.
 
@@ -184,17 +355,17 @@ def _pick_variable(
     """
     best: Optional[Tuple[int, int, Variable, List[object]]] = None
     for variable in unassigned:
-        pinned = _pinned_value(variable, constraint, partial)
+        pinned = _pinned_value(variable, plan, partial)
         if pinned is not _NO_VALUE:
             return variable, [pinned]
-        membership_values = _membership_candidates(variable, constraint, partial, solver)
+        membership_values = _membership_candidates(variable, plan, partial)
         if membership_values is not None:
             candidate = (1, len(membership_values), variable, membership_values)
             if best is None or candidate[:2] < best[:2]:
                 best = candidate
             continue
-        interval = _integer_interval(variable, constraint, partial)
-        if interval is not None and interval[1] - interval[0] + 1 <= max_interval_width:
+        interval = _integer_interval(variable, plan, partial)
+        if interval is not None and interval[1] - interval[0] + 1 <= plan.max_interval_width:
             values = list(range(interval[0], interval[1] + 1))
             candidate = (2, len(values), variable, values)
             if best is None or candidate[:2] < best[:2]:
@@ -202,12 +373,12 @@ def _pick_variable(
     if best is not None:
         return best[2], best[3]
     variable = unassigned[0]
-    if universe is None:
+    if plan.universe is None:
         raise SolverError(
             f"cannot enumerate candidate values for variable {variable}; "
             "supply a universe"
         )
-    return variable, list(universe)
+    return variable, list(plan.universe)
 
 
 class _NoValue:
@@ -225,87 +396,69 @@ def _resolve(term: Term, partial: Dict[Variable, object]) -> object:
 
 
 def _pinned_value(
-    variable: Variable, constraint: Constraint, partial: Dict[Variable, object]
+    variable: Variable, plan: _Plan, partial: Dict[Variable, object]
 ) -> object:
     """Value forced on *variable* by a positive equality, if any."""
-    for part in constraint.conjuncts():
-        if not isinstance(part, Comparison) or part.op != "=":
-            continue
-        for this, other in ((part.left, part.right), (part.right, part.left)):
-            if this != variable:
-                continue
-            value = _resolve(other, partial)
-            if value is not _NO_VALUE:
-                return value
+    for other in plan.index.pins.get(variable, ()):
+        value = _resolve(other, partial)
+        if value is not _NO_VALUE:
+            return value
     return _NO_VALUE
 
 
 def _membership_candidates(
-    variable: Variable,
-    constraint: Constraint,
-    partial: Dict[Variable, object],
-    solver: ConstraintSolver,
+    variable: Variable, plan: _Plan, partial: Dict[Variable, object]
 ) -> Optional[List[object]]:
-    """Finite candidate values from positive DCA-atoms over *variable*."""
-    evaluator = solver.evaluator
-    if evaluator is None:
+    """Finite candidate values from positive DCA-atoms over *variable*.
+
+    The first finite call's ordered values, filtered by every other finite
+    call's value set; the caller must not mutate the returned list.
+    """
+    calls = plan.calls.get(variable)
+    if not calls:
         return None
-    collected: Optional[set] = None
-    for part in constraint.conjuncts():
-        if not isinstance(part, Membership) or not part.positive:
-            continue
-        if part.element != variable:
-            continue
-        args = [_resolve(arg, partial) for arg in part.call.args]
+    ordered: Optional[List[object]] = None
+    others: List[FrozenSet[object]] = []
+    for call in calls:
+        args = tuple(_resolve(arg, partial) for arg in call.args)
         if any(arg is _NO_VALUE for arg in args):
             continue
-        if not evaluator.has_domain(part.call.domain):
+        values = plan.finite_values(call, args)
+        if values is None:
             continue
-        result = evaluator.evaluate_call(
-            part.call.domain, part.call.function, tuple(args)
-        )
-        if not result.is_finite():
-            continue
-        values = set(result.iter_values())
-        collected = values if collected is None else (collected & values)
-    if collected is None:
-        return None
-    return sorted(collected, key=_sort_key)
+        if ordered is None:
+            ordered = values[0]
+        else:
+            others.append(values[1])
+    if ordered is None or not others:
+        return ordered
+    return [value for value in ordered if all(value in other for other in others)]
 
 
 def _integer_interval(
-    variable: Variable,
-    constraint: Constraint,
-    partial: Dict[Variable, object],
+    variable: Variable, plan: _Plan, partial: Dict[Variable, object]
 ) -> Optional[Tuple[int, int]]:
     """Bounded integer interval implied by comparisons on *variable*."""
     low: float = -math.inf
     high: float = math.inf
-    for part in constraint.conjuncts():
-        if not isinstance(part, Comparison) or variable not in part.variables():
-            continue
-        comparison = part
-        if comparison.right == variable:
-            comparison = comparison.flipped()
-        if comparison.left != variable:
-            continue
-        value = _resolve(comparison.right, partial)
+    for op, term in plan.index.bounds.get(variable, ()):
+        value = _resolve(term, partial)
         if value is _NO_VALUE or isinstance(value, bool):
             continue
         if not isinstance(value, (int, float)):
             continue
-        if comparison.op == "=":
+        if op == "=":
             low = max(low, float(value))
             high = min(high, float(value))
-        elif comparison.op == "<":
+        elif op == "<":
             bound = math.ceil(value) - 1 if float(value).is_integer() else math.floor(value)
             high = min(high, bound)
-        elif comparison.op == "<=":
+        elif op == "<=":
             high = min(high, math.floor(value))
-        elif comparison.op == ">":
+        elif op == ">":
             bound = math.floor(value) + 1 if float(value).is_integer() else math.ceil(value)
             low = max(low, bound)
-        elif comparison.op == ">=":
+        elif op == ">=":
             low = max(low, math.ceil(value))
     if low == -math.inf or high == math.inf:
         return None
@@ -315,21 +468,17 @@ def _integer_interval(
 
 
 def _partial_consistent(
-    constraint: Constraint, partial: Dict[Variable, object], solver: ConstraintSolver
+    parts: Sequence[Constraint], partial: Dict[Variable, object], solver: ConstraintSolver
 ) -> bool:
-    """Evaluate the conjuncts that are fully ground under *partial*."""
-    for part in constraint.conjuncts():
+    """Evaluate those of *parts* that are fully ground under *partial*."""
+    for part in parts:
+        if not all(var in partial for var in part.variables()):
+            # Not ground yet.  This defers a negation whose inner variables
+            # are never bound by the search to the leaf's full evaluation.
+            continue
         if isinstance(part, NegatedConjunction):
-            # Deferred to the final full evaluation: a negation may become
-            # true again once more variables are assigned only if some inner
-            # conjunct turns false, which cannot be decided partially in
-            # general -- but if *all* its variables are assigned we can.
-            if not all(var in partial for var in part.variables()):
-                continue
             if not solver.evaluate_ground(part, partial):
                 return False
-            continue
-        if not all(var in partial for var in part.variables()):
             continue
         try:
             if not solver.evaluate_ground(part, partial):

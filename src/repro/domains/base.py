@@ -72,6 +72,10 @@ class IntensionalResultSet:
         return f"IntensionalResultSet({self._description})"
 
 
+#: Built-in collections a domain function may return, matched by exact type.
+_COLLECTION_TYPES = frozenset({set, frozenset, list, tuple})
+
+
 def coerce_result(value: object) -> ResultSetLike:
     """Coerce a domain function's return value into a result set.
 
@@ -82,14 +86,22 @@ def coerce_result(value: object) -> ResultSetLike:
     * sets / frozensets / lists / tuples / iterators become finite sets,
     * any other single value becomes a singleton set.
     """
+    # Exact built-in types first: none of them can carry the protocol's
+    # methods, and the runtime-checkable ``ResultSetLike`` check below is
+    # far slower than a type lookup.
+    kind = type(value)
+    if kind is FrozenResultSet or kind is IntensionalResultSet:
+        return value  # type: ignore[return-value]
+    if kind in _COLLECTION_TYPES:
+        return FrozenResultSet(value)  # type: ignore[arg-type]
+    if value is None:
+        return FrozenResultSet()
+    if kind is bool:
+        return FrozenResultSet([True]) if value else FrozenResultSet()
     if isinstance(value, (FrozenResultSet, IntensionalResultSet)):
         return value
     if isinstance(value, ResultSetLike):
         return value
-    if value is None:
-        return FrozenResultSet()
-    if isinstance(value, bool):
-        return FrozenResultSet([True]) if value else FrozenResultSet()
     if isinstance(value, (set, frozenset, list, tuple)):
         return FrozenResultSet(value)
     if hasattr(value, "__iter__") and not isinstance(value, (str, bytes, Mapping)):

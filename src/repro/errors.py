@@ -40,6 +40,14 @@ class ParseError(ReproError):
     """The rule/constraint text parser rejected its input."""
 
 
+class UniverseSpecError(ReproError, ValueError):
+    """A universe specification (``0:10`` or ``a,b,c``) is malformed.
+
+    Also a :class:`ValueError`, which is what malformed specs raised before
+    the typed error existed.
+    """
+
+
 class ProgramError(ReproError):
     """A constrained database (program) is malformed (e.g. unbound head vars)."""
 

@@ -81,7 +81,16 @@ class MediatorServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as error:
+                    # The line overran the reader's buffer limit.  Its tail
+                    # may still be in flight, so the next request cannot be
+                    # found reliably: answer, then close.
+                    await _reply(
+                        writer, {"ok": False, "error": f"request line too long: {error}"}
+                    )
+                    break
                 if not line:
                     break
                 stripped = line.strip()
@@ -89,14 +98,15 @@ class MediatorServer:
                     continue
                 try:
                     request = json.loads(stripped)
+                except UnicodeDecodeError as error:
+                    response = {"ok": False, "error": f"request is not UTF-8: {error}"}
                 except json.JSONDecodeError as error:
                     response = {"ok": False, "error": f"invalid JSON: {error}"}
+                except RecursionError:
+                    response = {"ok": False, "error": "invalid JSON: nested too deeply"}
                 else:
                     response = await self._router.dispatch(request)
-                writer.write(
-                    json.dumps(response, default=str).encode("utf-8") + b"\n"
-                )
-                await writer.drain()
+                await _reply(writer, response)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to clean up
         finally:
@@ -105,3 +115,9 @@ class MediatorServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+
+async def _reply(writer: asyncio.StreamWriter, response: dict) -> None:
+    """Send one JSON-lines response."""
+    writer.write(json.dumps(response, default=str).encode("utf-8") + b"\n")
+    await writer.drain()

@@ -11,22 +11,39 @@ directional where they must be:
 * solver says entailed                   =>  brute force must find no
   counterexample on the slice;
 * simplification must preserve the solution set on the slice exactly.
+
+A second family mixes in positive and negative memberships over a small
+finite test domain and checks solution enumeration itself against an
+exhaustive oracle that shares no code with the solver: every assignment of
+the slice, evaluated literal by literal in plain Python.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
+    Comparison,
+    Conjunction,
+    Constant,
     ConstraintSolver,
+    FalseConstraint,
+    Membership,
+    NegatedConjunction,
+    TrueConstraint,
     Variable,
     canonical_form,
     compare,
     conjoin,
+    member,
     negate,
     simplify,
     solution_set,
 )
+from repro.domains import Domain, DomainRegistry, IntensionalResultSet
 
 VARIABLES = (Variable("X"), Variable("Y"), Variable("Z"))
 UNIVERSE = tuple(range(0, 6))
@@ -147,3 +164,117 @@ def test_conjoin_is_intersection(left, right):
     assert brute_force_solutions(combined) == (
         brute_force_solutions(left) & brute_force_solutions(right)
     )
+
+
+# ---------------------------------------------------------------------------
+# Enumeration against an exhaustive oracle, with memberships
+# ---------------------------------------------------------------------------
+
+#: The test domain's functions, as plain Python: every finite result lies in
+#: the slice, so enumeration and the exhaustive oracle range over the same
+#: values.
+FINITE_FUNCTIONS = {
+    "evens": lambda: {0, 2, 4},
+    "upto": lambda n: set(range(0, n + 1)),
+    "succ": lambda n: {(n + 1) % 6},
+    "pair": lambda m, n: {m, n},
+    "nothing": lambda: set(),
+}
+#: Intensional (not enumerable) functions: membership only.
+INTENSIONAL_FUNCTIONS = {"thirds": lambda value: value % 3 == 0}
+ARITY = {"evens": 0, "upto": 1, "succ": 1, "pair": 2, "nothing": 0, "thirds": 0}
+
+finite = Domain("fin")
+for _name, _function in FINITE_FUNCTIONS.items():
+    finite.register(_name, _function)
+finite.register(
+    "thirds",
+    lambda: IntensionalResultSet(INTENSIONAL_FUNCTIONS["thirds"], description="thirds"),
+)
+domain_solver = ConstraintSolver(DomainRegistry([finite]))
+
+COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _value(term, assignment):
+    return term.value if isinstance(term, Constant) else assignment[term]
+
+
+def holds(constraint, assignment):
+    """Plain-Python truth of *constraint* under a total *assignment*."""
+    if isinstance(constraint, TrueConstraint):
+        return True
+    if isinstance(constraint, FalseConstraint):
+        return False
+    if isinstance(constraint, Conjunction):
+        return all(holds(part, assignment) for part in constraint.parts)
+    if isinstance(constraint, NegatedConjunction):
+        return not all(holds(part, assignment) for part in constraint.parts)
+    if isinstance(constraint, Comparison):
+        return COMPARE[constraint.op](
+            _value(constraint.left, assignment), _value(constraint.right, assignment)
+        )
+    assert isinstance(constraint, Membership)
+    element = _value(constraint.element, assignment)
+    args = [_value(arg, assignment) for arg in constraint.call.args]
+    name = constraint.call.function
+    if name in INTENSIONAL_FUNCTIONS:
+        member_ = INTENSIONAL_FUNCTIONS[name](element)
+    else:
+        member_ = element in FINITE_FUNCTIONS[name](*args)
+    return member_ == constraint.positive
+
+
+def exhaustive_solutions(constraint):
+    return frozenset(
+        values
+        for values in itertools.product(UNIVERSE, repeat=len(VARIABLES))
+        if holds(constraint, dict(zip(VARIABLES, values)))
+    )
+
+
+@st.composite
+def memberships(draw, pool=VARIABLES):
+    name = draw(st.sampled_from(sorted(ARITY)))
+    args = [
+        draw(st.sampled_from(pool)) if draw(st.booleans())
+        else draw(st.integers(min_value=0, max_value=5))
+        for _ in range(ARITY[name])
+    ]
+    literal = member(draw(st.sampled_from(pool)), "fin", name, *args)
+    return literal if draw(st.integers(0, 3)) else literal.negated()
+
+
+@st.composite
+def literals(draw, pool=VARIABLES):
+    if draw(st.booleans()):
+        return draw(memberships(pool))
+    left = draw(st.sampled_from(pool))
+    right = draw(st.sampled_from(pool)) if draw(st.booleans()) else draw(
+        st.integers(min_value=0, max_value=5)
+    )
+    return compare(left, draw(st.sampled_from(OPERATORS)), right)
+
+
+@st.composite
+def constraints_with_memberships(draw):
+    """Comparisons and (negative) memberships, optionally with a negated
+    conjunction over variables that also occur positively."""
+    positive = conjoin(*draw(st.lists(literals(), min_size=1, max_size=5)))
+    used = tuple(sorted(positive.variables(), key=lambda v: v.name))
+    if not used or not draw(st.booleans()):
+        return positive
+    inner = draw(st.lists(literals(used), min_size=1, max_size=2))
+    return conjoin(positive, negate(conjoin(*inner)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraints_with_memberships())
+def test_enumeration_matches_exhaustive_oracle(constraint):
+    enumerated = solution_set(
+        constraint, list(VARIABLES), solver=domain_solver, universe=UNIVERSE
+    )
+    assert enumerated == exhaustive_solutions(constraint)

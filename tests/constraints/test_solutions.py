@@ -20,7 +20,7 @@ from repro.constraints import (
     solution_set,
 )
 from repro.domains import Domain, DomainRegistry, make_arithmetic_domain
-from repro.errors import SolverError
+from repro.errors import EvaluationError, SolverError
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -157,6 +157,60 @@ class TestMembershipEnumeration:
         )
         # Only 'cid' has no phone number.
         assert solution_set(constraint, [X], solver=domain_solver) == {("cid",)}
+
+
+class TestPerEnumerationCallMemo:
+    """Each ground call is evaluated once per enumeration, never across."""
+
+    @staticmethod
+    def counting_solver(function):
+        calls = []
+        source = Domain("src")
+
+        def counted(*args):
+            calls.append(args)
+            return function(len(calls), *args)
+
+        source.register("f", counted)
+        return ConstraintSolver(DomainRegistry([source])), calls
+
+    def test_one_call_per_distinct_arguments(self):
+        solver, calls = self.counting_solver(lambda n, x: {x, x + 1})
+        constraint = conjoin(
+            compare(X, ">=", 0), compare(X, "<=", 2),
+            member(Y, "src", "f", X), member(Y, "src", "f", X),
+        )
+        assert solution_set(constraint, [X, Y], solver=solver) == {
+            (0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3),
+        }
+        assert sorted(calls) == [(0,), (1,), (2,)]
+
+    def test_memo_does_not_outlive_the_enumeration(self):
+        # The source answers {n}: the n-th call it has ever served.
+        solver, calls = self.counting_solver(lambda n: {n})
+        constraint = member(X, "src", "f")
+        assert solution_set(constraint, [X], solver=solver) == {(1,)}
+        assert solution_set(constraint, [X], solver=solver) == {(2,)}
+        assert len(calls) == 2
+
+    def test_every_occurrence_sees_one_answer(self):
+        # Candidates and the exact leaf check read the same call; a source
+        # that drifts between them must not make the candidate vanish.
+        solver, _ = self.counting_solver(lambda n: {n})
+        assert solution_set(member(X, "src", "f"), [X], solver=solver) == {(1,)}
+
+    def test_failures_are_not_cached(self):
+        def flaky(n, x):
+            if n == 1:
+                raise RuntimeError("source down")
+            return {x}
+
+        solver, calls = self.counting_solver(flaky)
+        constraint = conjoin(equals(X, 4), member(Y, "src", "f", X))
+        with pytest.raises(EvaluationError):
+            solution_set(constraint, [X, Y], solver=solver)
+        assert solution_set(constraint, [X, Y], solver=solver) == {(4, 4)}
+        assert len(calls) == 2
 
 
 class TestEquivalenceOnUniverse:

@@ -34,6 +34,70 @@ class TestCoerceResult:
         assert coerce_result(existing) is existing
 
 
+class _DuckResultSet:
+    """Implements the ``ResultSetLike`` protocol without inheriting anything."""
+
+    def contains(self, value):
+        return value == "duck"
+
+    def is_finite(self):
+        return True
+
+    def is_empty(self):
+        return False
+
+    def iter_values(self):
+        return iter(["duck"])
+
+    def size_hint(self):
+        return 1
+
+
+class _ListResultSet(list, _DuckResultSet):
+    """A list subclass that is also a result set: it must pass through."""
+
+
+_FROZEN = FrozenResultSet([7])
+_INTENSIONAL = IntensionalResultSet(lambda value: value == 1)
+_DUCK = _DuckResultSet()
+_LIST_RESULT = _ListResultSet([1, 2])
+_SAME = object()
+
+
+@pytest.mark.parametrize(
+    "make_value, expected",
+    [
+        (lambda: {1, 2}, {1, 2}),
+        (lambda: frozenset({1, 2}), {1, 2}),
+        (lambda: [1, 2, 2], {1, 2}),
+        (lambda: (1,), {1}),
+        (lambda: True, {True}),
+        (lambda: False, set()),
+        (lambda: None, set()),
+        (lambda: _FROZEN, _SAME),
+        (lambda: _INTENSIONAL, _SAME),
+        (lambda: _DUCK, _SAME),
+        (lambda: _LIST_RESULT, _SAME),
+        (lambda: (value for value in range(3)), {0, 1, 2}),
+        (lambda: "value", {"value"}),
+        (lambda: 42, {42}),
+    ],
+    ids=[
+        "set", "frozenset", "list", "tuple", "true", "false", "none",
+        "frozen-result-set", "intensional", "duck-typed", "list-subclass-result-set",
+        "generator", "str", "scalar",
+    ],
+)
+def test_coerce_result_by_input_kind(make_value, expected):
+    value = make_value()
+    result = coerce_result(value)
+    if expected is _SAME:
+        assert result is value
+    else:
+        assert type(result) is FrozenResultSet
+        assert result == FrozenResultSet(expected)
+
+
 class TestIntensionalResultSet:
     def test_membership_and_emptiness(self):
         evens = IntensionalResultSet(lambda v: isinstance(v, int) and v % 2 == 0)

@@ -92,6 +92,86 @@ class TestServerRoundTrip:
         assert not bad_atom["ok"]
         assert ping["ok"], "connection must survive every error above"
 
+    def test_non_utf8_line_gets_an_error_and_the_connection_survives(self):
+        async def main():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with make_service() as service:
+                async with MediatorServer(service) as server:
+                    host, port = server.address
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(b'{"op": "ping", "x": "\xff\xfe"}\n')
+                    await writer.drain()
+                    bad = json.loads(await reader.readline())
+                    ping = await rpc(reader, writer, {"op": "ping"})
+                    writer.close()
+                    await writer.wait_closed()
+            return bad, ping, loop_errors
+
+        bad, ping, loop_errors = asyncio.run(main())
+        assert bad["ok"] is False and "UTF-8" in bad["error"]
+        assert ping == {"ok": True, "pong": True}
+        assert loop_errors == []
+
+    def test_deeply_nested_json_gets_an_error_and_the_connection_survives(self):
+        async def main():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with make_service() as service:
+                async with MediatorServer(service) as server:
+                    host, port = server.address
+                    reader, writer = await asyncio.open_connection(host, port)
+                    deep = await rpc(reader, writer, "[" * 60_000)
+                    ping = await rpc(reader, writer, {"op": "ping"})
+                    writer.close()
+                    await writer.wait_closed()
+            return deep, ping, loop_errors
+
+        deep, ping, loop_errors = asyncio.run(main())
+        assert deep["ok"] is False and "nested too deeply" in deep["error"]
+        assert ping == {"ok": True, "pong": True}
+        assert loop_errors == []
+
+    def test_overlong_line_gets_an_error_then_the_connection_closes(self):
+        async def main():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with make_service() as service:
+                async with MediatorServer(service) as server:
+                    host, port = server.address
+                    reader, writer = await asyncio.open_connection(host, port)
+                    # Past the server-side StreamReader's default 64 KiB limit.
+                    writer.write(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+                    await writer.drain()
+                    reply = json.loads(await reader.readline())
+                    try:
+                        rest = await reader.read()
+                    except ConnectionResetError:
+                        rest = b""
+                    writer.close()
+                    try:
+                        await writer.wait_closed()
+                    except ConnectionResetError:
+                        pass
+                    # The server keeps accepting new connections.
+                    reader, writer = await asyncio.open_connection(host, port)
+                    ping = await rpc(reader, writer, {"op": "ping"})
+                    writer.close()
+                    await writer.wait_closed()
+            return reply, rest, ping, loop_errors
+
+        reply, rest, ping, loop_errors = asyncio.run(main())
+        assert reply["ok"] is False and "too long" in reply["error"]
+        assert rest == b"", "the server closes a connection whose framing is lost"
+        assert ping == {"ok": True, "pong": True}
+        assert loop_errors == []
+
     def test_concurrent_connections_share_one_view(self):
         async def main():
             async with make_service() as service:

@@ -86,6 +86,23 @@ def test_interval_join_counters_hit_the_acceptance_ratios(baseline, current):
         )
 
 
+def test_mediator_read_pays_each_distinct_call_once(baseline, current):
+    """One ``suspect`` read issues every distinct domain call exactly once
+    and still returns the scenario's ground truth."""
+    for snapshot in (baseline["results"], current["results"]):
+        family = snapshot["mediator_query"]
+        assert family["correct"] is True
+        assert family["domain_calls"] == family["distinct_calls"] > 0
+
+
+def test_compare_snapshots_flags_redundant_domain_calls(baseline):
+    redundant = json.loads(json.dumps(baseline))  # deep copy
+    family = redundant["results"]["mediator_query"]
+    family["domain_calls"] = family["distinct_calls"] * 19
+    regressions = compare_snapshots(baseline, redundant, threshold=0.2)
+    assert [key for key, _, _ in regressions] == ["mediator_query.domain_calls"]
+
+
 def test_compare_snapshots_flags_synthetic_regression(baseline):
     inflated = json.loads(json.dumps(baseline))  # deep copy
     stats = inflated["results"]["deletion_recursive_tc6"]["dred"]["stats"]

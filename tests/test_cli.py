@@ -6,7 +6,8 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, parse_universe
+from repro.errors import UniverseSpecError
 
 RULES = """
 a(X) <- X >= 3.
@@ -57,6 +58,15 @@ class TestMaterializeAndQuery:
         code, output = run_cli("query", rules_file, "b", "--universe", "5,6,99")
         assert code == 0
         assert "b(99)" in output
+
+    def test_malformed_universe_is_a_clean_error(self, rules_file, capsys):
+        code, _ = run_cli("query", rules_file, "b", "--universe", "banana:apple")
+        assert code == 2
+        assert "banana:apple" in capsys.readouterr().err
+
+    def test_parse_universe_raises_a_typed_error(self):
+        with pytest.raises(UniverseSpecError, match="banana:apple"):
+            parse_universe("banana:apple")
 
     def test_missing_file(self):
         code, _ = run_cli("materialize", "/nonexistent/rules.pl")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.constraints import ConstraintSolver
@@ -152,6 +154,52 @@ class TestLawEnforcementScenario:
     def test_kingpin_subset(self):
         scenario = make_law_enforcement_scenario(num_people=9, seed=2)
         assert set(scenario.expected_kingpin_suspects()) <= set(scenario.expected_suspects())
+
+
+class CountingEvaluator:
+    """Counts every ground call that reaches the mediator's registry."""
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+        self.calls = Counter()
+
+    def evaluate_call(self, domain, function, args):
+        self.calls[(domain, function, tuple(args))] += 1
+        return self.registry.evaluate_call(domain, function, args)
+
+    def has_domain(self, domain):
+        return self.registry.has_domain(domain)
+
+
+class TestPerReadDomainCalls:
+    """A read pays each distinct domain call once, and only for that read."""
+
+    def scenario(self):
+        return make_law_enforcement_scenario(num_people=10, photo_count=6, seed=4)
+
+    def test_one_suspect_read_issues_each_distinct_call_once(self):
+        scenario = self.scenario()
+        view = scenario.mediator.materialize()
+        counting = CountingEvaluator(scenario.mediator.registry)
+        answers = view.view.instances_for("suspect", solver=ConstraintSolver(counting))
+        assert answers == frozenset(scenario.expected_suspects())
+        assert counting.calls, "the read must consult the sources"
+        repeated = {call: n for call, n in counting.calls.items() if n > 1}
+        assert repeated == {}
+
+    def test_source_change_between_reads_reaches_the_next_read(self):
+        scenario = self.scenario()
+        view = scenario.mediator.materialize()
+        solver = ConstraintSolver(scenario.mediator.registry)
+        before = view.view.instances_for("suspect", solver=solver)
+        assert before == frozenset(scenario.expected_suspects())
+        _, fired = sorted(before)[0]
+        table = scenario.dbase.database.table("empl_abc")
+        assert table.delete_eq("name", fired) == 1
+        after_firing = view.view.instances_for("suspect", solver=solver)
+        assert after_firing == {pair for pair in before if pair[1] != fired}
+        table.insert((fired, "analyst"))
+        assert view.view.instances_for("suspect", solver=solver) == before
 
 
 class TestStreamBatches:
